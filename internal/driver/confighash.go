@@ -16,8 +16,9 @@ import (
 // (normalized with the same defaults Run applies) and the full group
 // structure (names, bounds, goal and op sets). Knobs that provably do
 // not change the library are excluded — Parallel (results merge in goal
-// order) and SatWorkers (the portfolio is verdict-preserving) — so a
-// crashed sequential run can legitimately be resumed with more workers.
+// order) and SatWorkers (0 and 1 both mean the one sequential search) —
+// so a crashed sequential run can legitimately be resumed with more
+// goal workers.
 func ConfigHash(groups []Group, opts Options) string {
 	if opts.Width == 0 {
 		opts.Width = 8

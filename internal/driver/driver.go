@@ -321,11 +321,9 @@ type Options struct {
 	// results from parallel synthesizer runs; results are merged in
 	// goal order, so the library is deterministic regardless.
 	Parallel int
-	// SatWorkers, when > 1, runs hard verification queries on a
-	// diversified SAT portfolio of that many workers with first-wins
-	// cancellation (cegis.Config.SatWorkers). Verdicts — and therefore
-	// the synthesized library — are unaffected; only wall-clock time
-	// and the winning models' values vary.
+	// SatWorkers is kept only because the benchmark harness sets it to 1.
+	// Every query runs one sequential SAT search, so 0 and 1 mean the
+	// same thing and Run rejects larger values.
 	SatWorkers int
 	// Progress, when non-nil, receives per-goal progress lines.
 	Progress io.Writer
@@ -396,6 +394,9 @@ func stopRequested(stop <-chan struct{}) bool {
 // only fails on setup errors — a goal that cannot be synthesized is
 // degraded or quarantined and reported, never fatal.
 func Run(groups []Group, opts Options) (*pattern.Library, *Report, error) {
+	if opts.SatWorkers > 1 {
+		return nil, nil, fmt.Errorf("driver: SatWorkers = %d: the SAT search is sequential, only 0 or 1 is accepted", opts.SatWorkers)
+	}
 	if opts.Width == 0 {
 		opts.Width = 8
 	}

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +17,33 @@ func scaledTimeout(d time.Duration) time.Duration {
 		return 10 * d
 	}
 	return d
+}
+
+// TestSatWorkersMatchesSequential: SatWorkers survives only as a
+// compatibility field. A value of 1 runs the same sequential search as
+// the default and yields the identical library; a larger value is
+// rejected instead of being silently ignored.
+func TestSatWorkersMatchesSequential(t *testing.T) {
+	groups := QuickSetup()
+	groups[0].Goals = groups[0].Goals[:2]
+	opts := Options{Width: 8, Seed: 1, MaxPatternsPerGoal: 8,
+		PerGoalTimeout: scaledTimeout(90 * time.Second)}
+	seqLib, _, err := Run(groups, opts)
+	if err != nil {
+		t.Fatalf("default: %v", err)
+	}
+	opts.SatWorkers = 1
+	oneLib, _, err := Run(groups, opts)
+	if err != nil {
+		t.Fatalf("SatWorkers 1: %v", err)
+	}
+	if !reflect.DeepEqual(oneLib.Rules, seqLib.Rules) {
+		t.Fatalf("SatWorkers 1 changed the library: %d vs %d rules", len(oneLib.Rules), len(seqLib.Rules))
+	}
+	opts.SatWorkers = 2
+	if _, _, err := Run(groups, opts); err == nil || !strings.Contains(err.Error(), "SatWorkers") {
+		t.Fatalf("SatWorkers 2: err = %v, want a rejection naming SatWorkers", err)
+	}
 }
 
 func TestBasicSetupSynthesis(t *testing.T) {

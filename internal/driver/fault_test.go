@@ -128,6 +128,38 @@ func TestRetryLadderRecovers(t *testing.T) {
 	}
 }
 
+// TestLadderShape pins the retry ladder: rung 0 is the configured
+// budget, rung 1 doubles the timeout, rung 2 quadruples it and falls
+// back to classical CEGIS, and deeper rungs repeat the rung-2 shape.
+func TestLadderShape(t *testing.T) {
+	const base = 10 * time.Second
+	for _, tc := range []struct {
+		name       string
+		maxRetries int
+		want       []rung
+	}{
+		{"default", 0, []rung{
+			{timeout: base},
+			{timeout: 2 * base},
+			{timeout: 4 * base, classical: true},
+		}},
+		{"three", 3, []rung{
+			{timeout: base},
+			{timeout: 2 * base},
+			{timeout: 4 * base, classical: true},
+			{timeout: 4 * base, classical: true},
+		}},
+		{"disabled", -1, []rung{
+			{timeout: base},
+		}},
+	} {
+		r := &runner{opts: Options{PerGoalTimeout: base, MaxRetries: tc.maxRetries}}
+		if got := r.ladder(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: ladder() = %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestVerifyDieQuarantines: a panic deep in the engine (the verifier
 // dying with a counterexample in hand) classifies as internal, not
 // retryable — the goal is quarantined without burning the ladder.

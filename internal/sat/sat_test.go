@@ -1,9 +1,12 @@
 package sat
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
+
+	"selgen/internal/failpoint"
 )
 
 func lit(i int) Lit {
@@ -442,26 +445,90 @@ func TestAtMostOneEncodingsAgree(t *testing.T) {
 	}
 }
 
-// pigeonhole builds PHP(P, H): P pigeons into H holes, unsat for
-// P > H and exponentially hard for resolution-based solvers.
-func pigeonhole(P, H int) *Solver {
-	s := newSolverWithVars(P * H)
+// cnf is an instance both as a clause list (for model verification and
+// rebuilding solvers) and a variable count.
+type cnf struct {
+	nvars  int
+	clause [][]Lit
+}
+
+// addTo allocates the instance's variables in s and adds its clauses.
+func (c *cnf) addTo(s *Solver) *Solver {
+	for i := 0; i < c.nvars; i++ {
+		s.NewVar()
+	}
+	for _, cl := range c.clause {
+		if !s.AddClause(cl...) {
+			break
+		}
+	}
+	return s
+}
+
+// solver returns a fresh solver holding the instance.
+func (c *cnf) solver() *Solver { return c.addTo(New()) }
+
+// pigeonholeCNF is PHP(P, H): P pigeons into H holes, unsat for P > H
+// and exponentially hard for resolution-based solvers.
+func pigeonholeCNF(P, H int) *cnf {
+	c := &cnf{nvars: P * H}
 	v := func(p, h int) Lit { return MkLit(Var(p*H+h), false) }
 	for p := 0; p < P; p++ {
-		var c []Lit
+		var cl []Lit
 		for h := 0; h < H; h++ {
-			c = append(c, v(p, h))
+			cl = append(cl, v(p, h))
 		}
-		s.AddClause(c...)
+		c.clause = append(c.clause, cl)
 	}
 	for h := 0; h < H; h++ {
 		for p1 := 0; p1 < P; p1++ {
 			for p2 := p1 + 1; p2 < P; p2++ {
-				s.AddClause(v(p1, h).Not(), v(p2, h).Not())
+				c.clause = append(c.clause, []Lit{v(p1, h).Not(), v(p2, h).Not()})
 			}
 		}
 	}
-	return s
+	return c
+}
+
+// pigeonhole returns a solver holding PHP(P, H).
+func pigeonhole(P, H int) *Solver { return pigeonholeCNF(P, H).solver() }
+
+// planted3SATCNF is a planted-solution random 3-SAT instance with n
+// variables and m clauses (always satisfiable).
+func planted3SATCNF(seed int64, n, m int) *cnf {
+	rng := rand.New(rand.NewSource(seed))
+	planted := make([]bool, n)
+	for i := range planted {
+		planted[i] = rng.Intn(2) == 0
+	}
+	c := &cnf{nvars: n}
+	for len(c.clause) < m {
+		cl := make([]Lit, 3)
+		for j := range cl {
+			cl[j] = MkLit(Var(rng.Intn(n)), rng.Intn(2) == 0)
+		}
+		sat := false
+		for _, l := range cl {
+			if planted[l.Var()] != l.Neg() {
+				sat = true
+			}
+		}
+		if !sat {
+			cl[0] = MkLit(cl[0].Var(), !planted[cl[0].Var()])
+		}
+		c.clause = append(c.clause, cl)
+	}
+	return c
+}
+
+// mustFaults builds an armed fault registry or fails the test.
+func mustFaults(t *testing.T, spec string) *failpoint.Registry {
+	t.Helper()
+	reg, err := failpoint.Parse(spec, 1)
+	if err != nil {
+		t.Fatalf("failpoint.Parse(%q): %v", spec, err)
+	}
+	return reg
 }
 
 // TestExpiredDeadlineReturnsBeforeSearch is the regression test for the
@@ -497,5 +564,52 @@ func TestTinyDeadlineOnHardQueryReturnsPromptly(t *testing.T) {
 	// and every 1024 decisions, all of which fire well within seconds.
 	if elapsed > 5*time.Second {
 		t.Fatalf("20ms deadline took %s to abort", elapsed)
+	}
+}
+
+// TestSpuriousTimeoutFailpoint: the sat.spurious.timeout failpoint
+// turns a solvable query into an ErrBudget answer, the signal the
+// driver's retry ladder consumes.
+func TestSpuriousTimeoutFailpoint(t *testing.T) {
+	s := planted3SATCNF(7, 30, 120).solver()
+	opts := Options{Faults: mustFaults(t, "sat.spurious.timeout=once")}
+	st, err := s.Solve(opts)
+	if st != Unknown || !errors.Is(err, ErrBudget) {
+		t.Fatalf("got %v %v, want Unknown ErrBudget", st, err)
+	}
+	// The failpoint was "once": the retry succeeds.
+	st, err = s.Solve(opts)
+	if err != nil || st != Sat {
+		t.Fatalf("retry got %v %v, want Sat <nil>", st, err)
+	}
+}
+
+// TestRecycleMatchesFresh: a solver that has solved one formula and
+// then been Recycled must behave exactly like a fresh solver on the
+// next formula — zeroed stats, and the same verdicts with and without
+// assumptions.
+func TestRecycleMatchesFresh(t *testing.T) {
+	s := pigeonhole(5, 4)
+	if st, err := s.Solve(Options{}); err != nil || st != Unsat {
+		t.Fatalf("warm-up solve: %v %v", st, err)
+	}
+	s.Recycle()
+	if s.Stats != (Stats{}) {
+		t.Fatalf("Recycle left stats behind: %+v", s.Stats)
+	}
+
+	next := planted3SATCNF(3, 30, 120)
+	fresh := next.solver()
+	next.addTo(s)
+	for _, assume := range [][]Lit{nil, {lit(1)}, {lit(-1), lit(2)}} {
+		wantSt, wantErr := fresh.Solve(Options{}, assume...)
+		gotSt, gotErr := s.Solve(Options{}, assume...)
+		if gotSt != wantSt || gotErr != wantErr {
+			t.Fatalf("assume %v: recycled (%v, %v) vs fresh (%v, %v)",
+				assume, gotSt, gotErr, wantSt, wantErr)
+		}
+		if gotSt == Sat {
+			verifyModel(t, s, next.clause)
+		}
 	}
 }

@@ -11,18 +11,6 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
-# Fail-fast race pass over the solver stack and the selector: the
-# portfolio tests spawn racing workers with a shared stop flag and
-# clause exchange, the fault-injection tests panic inside those
-# workers, and the isel tests drive one compiled Selector from several
-# goroutines — so these packages are where a data race would surface
-# first (obs joins them: the telemetry scraper snapshots the registry
-# while synthesis goroutines write it). The driver's synthesis tests
-# run well past go test's default 10m timeout under the race detector,
-# so this pass needs the same widened timeout as the full suite below.
-go test -race -timeout 60m ./internal/sat ./internal/smt ./internal/cegis ./internal/driver \
-	./internal/isel ./internal/pattern ./internal/obs ./internal/telemetry \
-	./internal/riscv ./internal/target ./internal/farm
 # the driver tests synthesize libraries and run well past go test's
 # default 10m timeout under the race detector (their per-goal deadlines
 # scale up under race too; see internal/driver scaledTimeout)
@@ -40,12 +28,9 @@ go run scripts/validateiselbench.go "$benchdir/BENCH_isel.json"
 
 # -trace smoke test: a quick-setup run must emit a well-formed Chrome
 # trace (parses, has goal/multiset/synth/verify spans, spans nest).
-# -sat-workers 2 routes verification through the SAT portfolio so any
-# sat.portfolio.worker spans land on their own trace TIDs and must
-# still nest cleanly.
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir" "$benchdir"' EXIT
-go run ./cmd/selgen -setup quick -timeout 2m -sat-workers 2 \
+go run ./cmd/selgen -setup quick -timeout 2m \
 	-o "$tmpdir/quick.json" -trace "$tmpdir/trace.json" >/dev/null
 go run scripts/validatetrace.go "$tmpdir/trace.json"
 
@@ -114,14 +99,14 @@ cmp "$tmpdir/uninterrupted.json" testdata/goldens/quick_x86.json || {
 }
 
 # External-oracle smoke: every committed QF_BV script must produce the
-# verdict its filename promises through the standalone solver CLI, with
-# the SAT portfolio engaged (the in-process differential against the
-# sequential solver lives in internal/smtlib's external test).
+# verdict its filename promises through the standalone solver CLI (the
+# in-process check of the same corpus, with model validation, lives in
+# internal/smtlib's external test).
 go build -o "$tmpdir/bvsat" ./cmd/bvsat
 for f in testdata/smtlib/*.smt2; do
 	want="${f##*_}"
 	want="${want%.smt2}"
-	got="$("$tmpdir/bvsat" -sat-workers 2 "$f" | head -n 1)"
+	got="$("$tmpdir/bvsat" "$f" | head -n 1)"
 	if [ "$got" != "$want" ]; then
 		echo "ci.sh: $f: bvsat said '$got', filename promises '$want'" >&2
 		exit 1
