@@ -4,6 +4,17 @@
 // recursive minimization, Luby restarts, and activity-based deletion of
 // learnt clauses.
 //
+// Clauses live in one flat []uint32 arena, MiniSat style: a header word
+// (size<<2 | deleted | learnt), the literals inline, and for a learnt
+// clause two more words holding its float64 activity. A clause is named
+// by its header's offset, and a watcher is 8 bytes (offset, blocker), so
+// visiting a watched clause reads one contiguous run of words where a
+// struct per clause plus a separately allocated literal slice cost two
+// cache misses. Deleted
+// clauses leave holes that a compacting collector reclaims once they
+// exceed a fifth of the arena; it keeps every list and watch-list order,
+// so the search does exactly what it would without compaction.
+//
 // The solver is the decision procedure underlying the QF_BV SMT solver in
 // internal/smt (via bit-blasting in internal/bitblast); the CGO'18 paper
 // reproduced by this repository uses Z3 restricted to QF_BV, which
@@ -13,6 +24,7 @@ package sat
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"selgen/internal/failpoint"
@@ -95,20 +107,33 @@ func (s Status) String() string {
 // Options is exhausted before a definite answer is reached.
 var ErrBudget = errors.New("sat: budget exhausted")
 
-// clause is a disjunction of literals. Learnt clauses carry an activity
-// for the reduction heuristic.
-type clause struct {
-	lits     []Lit
-	activity float64
-	learnt   bool
-	deleted  bool
+// cref names a clause: the arena offset of its header word.
+type cref uint32
+
+// crefUndef is "no clause": the reason of a decision or a level-0 unit,
+// and propagate's "no conflict".
+const crefUndef = ^cref(0)
+
+// Clause header word: size<<hdrSizeShift | hdrDeleted | hdrLearnt. The
+// literals follow inline; a learnt clause then carries its float64
+// activity in two more words (low half first).
+const (
+	hdrLearnt    = 1 << 0
+	hdrDeleted   = 1 << 1
+	hdrSizeShift = 2
+)
+
+// clauseWords is the arena footprint of the clause with header h.
+func clauseWords(h uint32) int {
+	return 1 + int(h>>hdrSizeShift) + 2*int(h&hdrLearnt)
 }
 
 // watcher pairs a watched clause with a "blocker" literal whose truth
-// makes visiting the clause unnecessary.
+// makes visiting the clause unnecessary. The blocker is a Lit narrowed
+// to 32 bits, keeping the watcher at 8 bytes.
 type watcher struct {
-	cref    int
-	blocker Lit
+	cr      cref
+	blocker uint32
 }
 
 // Options configure a Solve call. The zero value means "no limits".
@@ -141,9 +166,12 @@ type Stats struct {
 // NewVar and clauses with AddClause, then call Solve. A solver may be
 // reused for multiple Solve calls (incremental solving under assumptions).
 type Solver struct {
-	clauses []int // indices of problem clauses in arena
-	learnts []int // indices of learnt clauses in arena
-	arena   []clause
+	clauses []cref // problem clauses
+	learnts []cref // learnt clauses
+	arena   []uint32
+	wasted  int // arena words held by deleted clauses
+	// collections counts arena compactions (for tests).
+	collections int
 
 	watches [][]watcher // watches[lit] = clauses watching lit
 
@@ -153,7 +181,7 @@ type Solver struct {
 	assignLit []lbool
 	polarity  []bool // saved phase per variable
 	level     []int  // decision level per variable
-	reason    []int  // antecedent clause per variable (-1 = decision)
+	reason    []cref // antecedent clause per variable (crefUndef = decision)
 
 	trail    []Lit
 	trailLim []int // trail index per decision level
@@ -179,6 +207,8 @@ type Solver struct {
 	learntBuf []Lit
 	origBuf   []Var
 	stackBuf  []Var
+	sortBuf   []cref   // reduceDB's activity-sorted copy of learnts
+	gcBuf     []uint32 // collect's saved first literals
 
 	Stats Stats
 }
@@ -202,7 +232,7 @@ func (s *Solver) NewVar() Var {
 	s.assignLit = append(s.assignLit, lUndef, lUndef)
 	s.polarity = append(s.polarity, true) // default phase: false (negated)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, -1)
+	s.reason = append(s.reason, crefUndef)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, 0)
 	if n := len(s.watches); n+2 <= cap(s.watches) {
@@ -219,15 +249,18 @@ func (s *Solver) NewVar() Var {
 }
 
 // Recycle resets the solver to its freshly-constructed logical state
-// while retaining the memory of its previous life: the clause arena,
-// watch lists, and per-variable buffers keep their capacity. Callers
-// that repeatedly rebuild solvers of a similar shape (e.g. the SMT
-// facade's garbage-collection rebuilds, one per synthesis multiset)
-// would otherwise re-grow every internal slice from scratch each time.
+// while retaining the memory of its previous life: the clause arena
+// (emptied, with no deleted words), watch lists, and per-variable
+// buffers keep their capacity. Callers that repeatedly rebuild solvers
+// of a similar shape (e.g. the SMT facade's garbage-collection rebuilds,
+// one per synthesis multiset) would otherwise re-grow every internal
+// slice from scratch each time.
 func (s *Solver) Recycle() {
 	s.clauses = s.clauses[:0]
 	s.learnts = s.learnts[:0]
-	s.arena = s.arena[:0] // slots (and their lits arrays) are reused by allocClause
+	s.arena = s.arena[:0]
+	s.wasted = 0
+	s.collections = 0
 	w := s.watches[:cap(s.watches)]
 	for i := range w {
 		w[i] = w[i][:0]
@@ -302,8 +335,8 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], -1)
-		if s.propagate() != -1 {
+		s.uncheckedEnqueue(out[0], crefUndef)
+		if s.propagate() != crefUndef {
 			s.ok = false
 			return false
 		}
@@ -315,20 +348,121 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	return true
 }
 
-// allocClause copies lits into a (possibly recycled) arena slot, so
-// callers may pass reused scratch buffers.
-func (s *Solver) allocClause(lits []Lit, learnt bool) int {
-	if n := len(s.arena); n < cap(s.arena) {
-		s.arena = s.arena[:n+1]
-		c := &s.arena[n]
-		c.lits = append(c.lits[:0], lits...)
-		c.activity = 0
-		c.learnt = learnt
-		c.deleted = false
-		return n
+// allocClause appends a clause holding a copy of lits to the arena, so
+// callers may pass reused scratch buffers. A learnt clause starts with
+// activity 0.
+func (s *Solver) allocClause(lits []Lit, learnt bool) cref {
+	cr := cref(len(s.arena))
+	if uint64(cr)+uint64(len(lits))+3 >= uint64(crefUndef) {
+		panic("sat: clause arena exceeds 2^32 words")
 	}
-	s.arena = append(s.arena, clause{lits: append([]Lit(nil), lits...), learnt: learnt})
-	return len(s.arena) - 1
+	h := uint32(len(lits)) << hdrSizeShift
+	if learnt {
+		h |= hdrLearnt
+	}
+	s.arena = append(s.arena, h)
+	for _, l := range lits {
+		s.arena = append(s.arena, uint32(l))
+	}
+	if learnt {
+		s.arena = append(s.arena, 0, 0)
+	}
+	return cr
+}
+
+// clauseLits returns the clause's literals, aliasing the arena: writes
+// through it reorder the clause in place.
+func (s *Solver) clauseLits(cr cref) []uint32 {
+	n := cref(s.arena[cr] >> hdrSizeShift)
+	return s.arena[cr+1 : cr+1+n]
+}
+
+// clauseActivity returns a learnt clause's activity.
+func (s *Solver) clauseActivity(cr cref) float64 {
+	i := cr + 1 + cref(s.arena[cr]>>hdrSizeShift)
+	return math.Float64frombits(uint64(s.arena[i]) | uint64(s.arena[i+1])<<32)
+}
+
+// setClauseActivity stores a learnt clause's activity.
+func (s *Solver) setClauseActivity(cr cref, a float64) {
+	i := cr + 1 + cref(s.arena[cr]>>hdrSizeShift)
+	b := math.Float64bits(a)
+	s.arena[i], s.arena[i+1] = uint32(b), uint32(b>>32)
+}
+
+// freeClause marks a detached clause deleted; its words stay in the
+// arena until the next collect.
+func (s *Solver) freeClause(cr cref) {
+	s.arena[cr] |= hdrDeleted
+	s.wasted += clauseWords(s.arena[cr])
+}
+
+// maybeCollect compacts the arena once deleted clauses hold more than a
+// fifth of it.
+func (s *Solver) maybeCollect() {
+	if 5*s.wasted > len(s.arena) {
+		s.collect()
+	}
+}
+
+// collect compacts the arena in place, sliding live clauses down over
+// deleted ones, and relocates every reference to them: the problem and
+// learnt lists, the watch lists and the reasons of assigned variables.
+// Arena order, list order and watch-list order are all unchanged, so
+// the search cannot tell a collection happened. Deleted clauses are
+// never referenced (they are detached, never reasons, and dropped from
+// both lists before they are freed).
+func (s *Solver) collect() {
+	a := s.arena
+	// Pass 1: park each live clause's new offset in its first literal
+	// word as a forwarding address, saving the literal aside.
+	saved := s.gcBuf[:0]
+	to := 0
+	for cr := 0; cr < len(a); {
+		n := clauseWords(a[cr])
+		if a[cr]&hdrDeleted == 0 {
+			saved = append(saved, a[cr+1])
+			a[cr+1] = uint32(to)
+			to += n
+		}
+		cr += n
+	}
+	// Pass 2: follow the forwarding addresses.
+	fwd := func(refs []cref) {
+		for i, cr := range refs {
+			refs[i] = cref(a[cr+1])
+		}
+	}
+	fwd(s.clauses)
+	fwd(s.learnts)
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].cr = cref(a[ws[i].cr+1])
+		}
+	}
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r != crefUndef {
+			s.reason[l.Var()] = cref(a[r+1])
+		}
+	}
+	// Pass 3: slide live clauses down and restore their first literals.
+	// A clause only ever moves to a lower offset, so the copy never
+	// clobbers a header still to be read.
+	to, k := 0, 0
+	for cr := 0; cr < len(a); {
+		n := clauseWords(a[cr])
+		if a[cr]&hdrDeleted == 0 {
+			copy(a[to:], a[cr:cr+n])
+			a[to+1] = saved[k]
+			k++
+			to += n
+		}
+		cr += n
+	}
+	s.arena = a[:to]
+	s.wasted = 0
+	s.collections++
+	s.gcBuf = saved[:0]
 }
 
 // Simplify removes clauses satisfied at decision level 0 from the
@@ -343,43 +477,40 @@ func (s *Solver) Simplify() {
 	}
 	s.clauses = s.simplifyList(s.clauses)
 	s.learnts = s.simplifyList(s.learnts)
+	s.maybeCollect()
 }
 
-func (s *Solver) simplifyList(refs []int) []int {
+func (s *Solver) simplifyList(refs []cref) []cref {
 	kept := refs[:0]
-	for _, cref := range refs {
-		c := &s.arena[cref]
-		if c.deleted {
-			continue
-		}
+	for _, cr := range refs {
 		sat0 := false
-		for _, l := range c.lits {
-			if s.value(l) == lTrue {
+		for _, l := range s.clauseLits(cr) {
+			if s.value(Lit(l)) == lTrue {
 				sat0 = true
 				break
 			}
 		}
-		if sat0 && !s.locked(cref) {
-			s.detachClause(cref)
-			c.deleted = true
+		if sat0 && !s.locked(cr) {
+			s.detachClause(cr)
+			s.freeClause(cr)
 			s.Stats.Removed++
 		} else {
-			kept = append(kept, cref)
+			kept = append(kept, cr)
 		}
 	}
 	return kept
 }
 
-func (s *Solver) attachClause(cref int) {
-	c := &s.arena[cref]
-	w0, w1 := c.lits[0], c.lits[1]
-	s.watches[w0.Not()] = append(s.watches[w0.Not()], watcher{cref, w1})
-	s.watches[w1.Not()] = append(s.watches[w1.Not()], watcher{cref, w0})
+func (s *Solver) attachClause(cr cref) {
+	lits := s.clauseLits(cr)
+	w0, w1 := lits[0], lits[1]
+	s.watches[w0^1] = append(s.watches[w0^1], watcher{cr, w1})
+	s.watches[w1^1] = append(s.watches[w1^1], watcher{cr, w0})
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from int) {
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
 	s.assignLit[l] = lTrue
 	s.assignLit[l^1] = lFalse
@@ -388,52 +519,51 @@ func (s *Solver) uncheckedEnqueue(l Lit, from int) {
 	s.trail = append(s.trail, l)
 }
 
-// propagate performs unit propagation; it returns the index of a
-// conflicting clause, or -1 if no conflict arises.
-func (s *Solver) propagate() int {
-	conflict := -1
+// propagate performs unit propagation; it returns the conflicting
+// clause, or crefUndef if no conflict arises. Stats.Propagations counts
+// the trail literals it dequeued.
+func (s *Solver) propagate() cref {
+	conflict := crefUndef
+	start := s.qhead
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
-		s.Stats.Propagations++
+		falseLit := uint32(p.Not())
 		ws := s.watches[p]
 		j := 0
 	nextWatcher:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.value(w.blocker) == lTrue {
+			if s.assignLit[w.blocker] == lTrue {
 				ws[j] = w
 				j++
 				continue
 			}
-			c := &s.arena[w.cref]
-			lits := c.lits
+			lits := s.clauseLits(w.cr)
 			// Ensure the falsified literal is lits[1].
-			falseLit := p.Not()
 			if lits[0] == falseLit {
 				lits[0], lits[1] = lits[1], lits[0]
 			}
 			first := lits[0]
-			if first != w.blocker && s.value(first) == lTrue {
-				ws[j] = watcher{w.cref, first}
+			if first != w.blocker && s.assignLit[first] == lTrue {
+				ws[j] = watcher{w.cr, first}
 				j++
 				continue
 			}
 			// Look for a new literal to watch.
 			for k := 2; k < len(lits); k++ {
-				if s.value(lits[k]) != lFalse {
+				if s.assignLit[lits[k]] != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
-					nw := lits[1].Not()
-					s.watches[nw] = append(s.watches[nw], watcher{w.cref, first})
+					nw := lits[1] ^ 1
+					s.watches[nw] = append(s.watches[nw], watcher{w.cr, first})
 					continue nextWatcher
 				}
 			}
 			// Clause is unit or conflicting.
-			ws[j] = watcher{w.cref, first}
+			ws[j] = watcher{w.cr, first}
 			j++
-			if s.value(first) == lFalse {
-				conflict = w.cref
-				s.qhead = len(s.trail)
+			if s.assignLit[first] == lFalse {
+				conflict = w.cr
 				// Copy remaining watchers back.
 				for i++; i < len(ws); i++ {
 					ws[j] = ws[i]
@@ -441,35 +571,39 @@ func (s *Solver) propagate() int {
 				}
 				break
 			}
-			s.uncheckedEnqueue(first, w.cref)
+			s.uncheckedEnqueue(Lit(first), w.cr)
 		}
 		s.watches[p] = ws[:j]
-		if conflict != -1 {
-			return conflict
+		if conflict != crefUndef {
+			break
 		}
 	}
-	return -1
+	s.Stats.Propagations += int64(s.qhead - start)
+	if conflict != crefUndef {
+		s.qhead = len(s.trail)
+	}
+	return conflict
 }
 
 // analyze performs first-UIP conflict analysis and returns the learnt
 // clause (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(conflict int) ([]Lit, int) {
+func (s *Solver) analyze(conflict cref) ([]Lit, int) {
 	learnt := append(s.learntBuf[:0], 0) // [0] holds the asserting literal
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
 
-	cref := conflict
+	cr := conflict
 	for {
-		c := &s.arena[cref]
-		if c.learnt {
-			s.bumpClause(cref)
+		if s.arena[cr]&hdrLearnt != 0 {
+			s.bumpClause(cr)
 		}
 		start := 0
 		if p != -1 {
 			start = 1
 		}
-		for _, q := range c.lits[start:] {
+		for _, ql := range s.clauseLits(cr)[start:] {
+			q := Lit(ql)
 			v := q.Var()
 			if s.seen[v] != 0 || s.level[v] == 0 {
 				continue
@@ -493,7 +627,7 @@ func (s *Solver) analyze(conflict int) ([]Lit, int) {
 		if counter == 0 {
 			break
 		}
-		cref = s.reason[p.Var()]
+		cr = s.reason[p.Var()]
 	}
 	learnt[0] = p.Not()
 
@@ -508,7 +642,7 @@ func (s *Solver) analyze(conflict int) ([]Lit, int) {
 	s.origBuf = origVars[:0]
 	jj := 1
 	for i := 1; i < len(learnt); i++ {
-		if s.reason[learnt[i].Var()] == -1 || !s.litRedundant(learnt[i]) {
+		if s.reason[learnt[i].Var()] == crefUndef || !s.litRedundant(learnt[i]) {
 			learnt[jj] = learnt[i]
 			jj++
 		}
@@ -547,14 +681,12 @@ func (s *Solver) litRedundant(l Lit) bool {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		cref := s.reason[v]
-		c := &s.arena[cref]
-		for _, q := range c.lits[1:] {
-			qv := q.Var()
+		for _, q := range s.clauseLits(s.reason[v])[1:] {
+			qv := Lit(q).Var()
 			if s.seen[qv] != 0 || s.level[qv] == 0 {
 				continue
 			}
-			if s.reason[qv] == -1 {
+			if s.reason[qv] == crefUndef {
 				// Failed: undo temporary marks.
 				for _, u := range s.toClr[top:] {
 					s.seen[u] = 0
@@ -580,7 +712,7 @@ func (s *Solver) cancelUntil(lvl int) {
 		s.assignLit[l] = lUndef
 		s.assignLit[l^1] = lUndef
 		s.polarity[v] = l.Neg()
-		s.reason[v] = -1
+		s.reason[v] = crefUndef
 		s.order.insert(v)
 	}
 	s.trail = s.trail[:s.trailLim[lvl]]
@@ -599,12 +731,12 @@ func (s *Solver) bumpVar(v Var) {
 	s.order.update(v)
 }
 
-func (s *Solver) bumpClause(cref int) {
-	c := &s.arena[cref]
-	c.activity += s.claInc
-	if c.activity > 1e20 {
-		for _, i := range s.learnts {
-			s.arena[i].activity *= 1e-20
+func (s *Solver) bumpClause(cr cref) {
+	a := s.clauseActivity(cr) + s.claInc
+	s.setClauseActivity(cr, a)
+	if a > 1e20 {
+		for _, l := range s.learnts {
+			s.setClauseActivity(l, s.clauseActivity(l)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -626,45 +758,44 @@ func (s *Solver) pickBranchVar() Var {
 }
 
 // reduceDB removes roughly half of the learnt clauses, keeping the most
-// active and all binary clauses.
+// active and all binary clauses. It fully sorts a copy of the learnt
+// list by activity (quicksort, ascending), deletes the less active half
+// plus any clause below claInc/len(learnts), and keeps the survivors in
+// sorted order.
 func (s *Solver) reduceDB() {
 	if len(s.learnts) < 2 {
 		return
 	}
-	// Partial selection sort would be overkill; a simple threshold pass
-	// over the activity median approximation works well in practice.
 	extra := s.claInc / float64(len(s.learnts))
-	// Sort learnts by activity ascending (insertion into new slices).
-	sorted := make([]int, len(s.learnts))
-	copy(sorted, s.learnts)
-	// Simple quicksort on activity.
-	sortByActivity(sorted, s.arena)
+	sorted := append(s.sortBuf[:0], s.learnts...)
+	s.sortByActivity(sorted)
 	half := len(sorted) / 2
-	kept := sorted[:0]
-	for i, cref := range sorted {
-		c := &s.arena[cref]
-		if len(c.lits) > 2 && !s.locked(cref) && (i < half || c.activity < extra) {
-			s.detachClause(cref)
-			c.deleted = true
+	kept := s.learnts[:0]
+	for i, cr := range sorted {
+		if s.arena[cr]>>hdrSizeShift > 2 && !s.locked(cr) && (i < half || s.clauseActivity(cr) < extra) {
+			s.detachClause(cr)
+			s.freeClause(cr)
 			s.Stats.Removed++
 		} else {
-			kept = append(kept, cref)
+			kept = append(kept, cr)
 		}
 	}
 	s.learnts = kept
+	s.sortBuf = sorted[:0]
+	s.maybeCollect()
 }
 
-func sortByActivity(refs []int, arena []clause) {
+func (s *Solver) sortByActivity(refs []cref) {
 	if len(refs) < 2 {
 		return
 	}
-	pivot := arena[refs[len(refs)/2]].activity
+	pivot := s.clauseActivity(refs[len(refs)/2])
 	i, j := 0, len(refs)-1
 	for i <= j {
-		for arena[refs[i]].activity < pivot {
+		for s.clauseActivity(refs[i]) < pivot {
 			i++
 		}
-		for arena[refs[j]].activity > pivot {
+		for s.clauseActivity(refs[j]) > pivot {
 			j--
 		}
 		if i <= j {
@@ -673,22 +804,21 @@ func sortByActivity(refs []int, arena []clause) {
 			j--
 		}
 	}
-	sortByActivity(refs[:j+1], arena)
-	sortByActivity(refs[i:], arena)
+	s.sortByActivity(refs[:j+1])
+	s.sortByActivity(refs[i:])
 }
 
-func (s *Solver) locked(cref int) bool {
-	c := &s.arena[cref]
-	v := c.lits[0].Var()
-	return s.reason[v] == cref && s.value(c.lits[0]) == lTrue
+func (s *Solver) locked(cr cref) bool {
+	l0 := Lit(s.arena[cr+1])
+	return s.reason[l0.Var()] == cr && s.value(l0) == lTrue
 }
 
-func (s *Solver) detachClause(cref int) {
-	c := &s.arena[cref]
-	for _, w := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
+func (s *Solver) detachClause(cr cref) {
+	lits := s.clauseLits(cr)
+	for _, w := range [2]uint32{lits[0] ^ 1, lits[1] ^ 1} {
 		ws := s.watches[w]
 		for i := range ws {
-			if ws[i].cref == cref {
+			if ws[i].cr == cr {
 				ws[i] = ws[len(ws)-1]
 				s.watches[w] = ws[:len(ws)-1]
 				break
@@ -799,7 +929,7 @@ func (s *Solver) search(nConflicts int64, assumptions []Lit, maxLearnts *float64
 	decisions := int64(0)
 	for {
 		confl := s.propagate()
-		if confl != -1 {
+		if confl != crefUndef {
 			s.Stats.Conflicts++
 			conflicts++
 			if s.decisionLevel() == 0 {
@@ -809,13 +939,13 @@ func (s *Solver) search(nConflicts int64, assumptions []Lit, maxLearnts *float64
 			learnt, btLevel := s.analyze(confl)
 			s.cancelUntil(btLevel)
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], -1)
+				s.uncheckedEnqueue(learnt[0], crefUndef)
 			} else {
-				cref := s.allocClause(learnt, true)
-				s.learnts = append(s.learnts, cref)
-				s.attachClause(cref)
-				s.bumpClause(cref)
-				s.uncheckedEnqueue(learnt[0], cref)
+				cr := s.allocClause(learnt, true)
+				s.learnts = append(s.learnts, cr)
+				s.attachClause(cr)
+				s.bumpClause(cr)
+				s.uncheckedEnqueue(learnt[0], cr)
 				s.Stats.Learnt++
 			}
 			s.decayActivities()
@@ -864,7 +994,7 @@ func (s *Solver) search(nConflicts int64, assumptions []Lit, maxLearnts *float64
 			next = MkLit(v, s.polarity[v])
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(next, -1)
+		s.uncheckedEnqueue(next, crefUndef)
 	}
 }
 

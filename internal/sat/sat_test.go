@@ -586,16 +586,22 @@ func TestSpuriousTimeoutFailpoint(t *testing.T) {
 
 // TestRecycleMatchesFresh: a solver that has solved one formula and
 // then been Recycled must behave exactly like a fresh solver on the
-// next formula — zeroed stats, and the same verdicts with and without
-// assumptions.
+// next formula — zeroed stats, an empty clause arena with no deleted
+// words, and the same verdicts with and without assumptions.
 func TestRecycleMatchesFresh(t *testing.T) {
 	s := pigeonhole(5, 4)
 	if st, err := s.Solve(Options{}); err != nil || st != Unsat {
 		t.Fatalf("warm-up solve: %v %v", st, err)
 	}
+	if len(s.arena) == 0 {
+		t.Fatalf("warm-up left the arena empty")
+	}
 	s.Recycle()
 	if s.Stats != (Stats{}) {
 		t.Fatalf("Recycle left stats behind: %+v", s.Stats)
+	}
+	if len(s.arena) != 0 || s.wasted != 0 {
+		t.Fatalf("Recycle left %d arena words (%d deleted)", len(s.arena), s.wasted)
 	}
 
 	next := planted3SATCNF(3, 30, 120)

@@ -20,6 +20,9 @@ go test -race -timeout 60m "$@" ./...
 # benchmark must run clean, and a single-rep BENCH_isel.json must parse
 # and show the indexed matcher sublinear in library size.
 go test -run '^$' -bench SelectLibrarySize -benchtime 1x ./internal/isel
+# SAT layer benchmark smoke: one iteration of each solver benchmark
+# (they report props/s) must still build and run clean.
+go test -run '^$' -bench . -benchtime 1x ./internal/sat
 benchdir="$(mktemp -d)"
 trap 'rm -rf "$benchdir"' EXIT # replaced below once tmpdir exists
 go build -o "$benchdir/iselbench" ./cmd/iselbench
