@@ -84,45 +84,3 @@ func TestDifferentialSynthesizedLibraries(t *testing.T) {
 	}
 	assertSelectorsAgree(t, "trimmed-full", full)
 }
-
-// TestIselBenchScalesSublinearly runs the selection-scaling benchmark
-// once (single rep — this is a correctness gate on the shape of the
-// curve, not a timing assertion) and checks that rules tried per node
-// stays flat as padding grows the library 100×, while the linear
-// scan's effort grows with it.
-func TestIselBenchScalesSublinearly(t *testing.T) {
-	b, err := RunIselBench(nil, 8, 7, nil, nil, 1)
-	if err != nil {
-		t.Fatalf("RunIselBench: %v", err)
-	}
-	if len(b.Points) != len(selBenchSizes) {
-		t.Fatalf("points: %d", len(b.Points))
-	}
-	byName := map[string]IselBenchPoint{}
-	for _, p := range b.Points {
-		byName[p.Name] = p
-	}
-	p100, p1000 := byName["hand+pad:100"], byName["hand+pad:1000"]
-	if p1000.CompiledRules <= p100.CompiledRules {
-		t.Fatalf("padding did not grow the compiled library: %d vs %d",
-			p100.CompiledRules, p1000.CompiledRules)
-	}
-	// Sublinear: both points contain the whole handwritten library plus
-	// never-retrieved padding, so a 10× library must leave the match
-	// attempts per node essentially flat (the padding differs only in
-	// trie keys the workload never produces).
-	if p1000.RulesPerNode > 2*p100.RulesPerNode+1 {
-		t.Fatalf("indexed rules tried/node grew with library size: %.2f at 100 rules, %.2f at 1000",
-			p100.RulesPerNode, p1000.RulesPerNode)
-	}
-	// The linear oracle must show the growth the index avoids.
-	if p1000.LinearRulesPerNode < 10*p1000.RulesPerNode {
-		t.Fatalf("linear scan should try far more rules than the index at 1000 rules: %.2f vs %.2f",
-			p1000.LinearRulesPerNode, p1000.RulesPerNode)
-	}
-	for _, p := range b.Points {
-		if p.NsPerNode <= 0 || p.LinearNsPerNode <= 0 || p.VsHandwritten <= 0 {
-			t.Fatalf("non-positive timing in %+v", p)
-		}
-	}
-}

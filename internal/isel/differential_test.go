@@ -77,6 +77,56 @@ func TestDifferentialHandwritten(t *testing.T) {
 	}
 }
 
+// TestIndexedEffortFlatInLibrarySize pads the handwritten library with
+// never-matching rules from 100 to 1000 and checks, on the effort
+// counters alone (no clock), that the indexed matcher's rules tried per
+// node stays flat while a Linear twin's grows with the library.
+func TestIndexedEffortFlatInLibrarySize(t *testing.T) {
+	graphs := workloadGraphs(t)
+	type point struct {
+		compiled        int
+		indexed, linear float64 // rules tried per node
+	}
+	measure := func(n int) point {
+		indexed, linear := linearized(PadLibrary(HandwrittenLibrary(w), w, n), true)
+		for _, g := range graphs {
+			for _, s := range []*Selector{indexed, linear} {
+				if _, _, err := s.Select(g); err != nil {
+					t.Fatalf("pad %d: %s: %v", n, g.Name, err)
+				}
+			}
+		}
+		si, sl := indexed.Stats(), linear.Stats()
+		if si.Nodes == 0 || si.Nodes != sl.Nodes {
+			t.Fatalf("pad %d: node counts: indexed %d, linear %d", n, si.Nodes, sl.Nodes)
+		}
+		return point{
+			compiled: indexed.Compiled.NumRules(),
+			indexed:  float64(si.RulesTried) / float64(si.Nodes),
+			linear:   float64(sl.RulesTried) / float64(sl.Nodes),
+		}
+	}
+	p100, p1000 := measure(100), measure(1000)
+	if p1000.compiled <= p100.compiled {
+		t.Fatalf("padding did not grow the compiled library: %d at 100, %d at 1000",
+			p100.compiled, p1000.compiled)
+	}
+	// Both libraries hold the whole handwritten library plus padding
+	// whose trie keys the workload never produces, so a 10× library
+	// must leave the indexed match attempts per node essentially flat.
+	if p1000.indexed > 2*p100.indexed+1 {
+		t.Fatalf("indexed rules tried/node grew with library size: %.2f at 100, %.2f at 1000",
+			p100.indexed, p1000.indexed)
+	}
+	// The linear scan must show the growth the index avoids.
+	if p1000.linear < 10*p1000.indexed {
+		t.Fatalf("linear scan should try far more rules than the index at 1000: %.2f vs %.2f",
+			p1000.linear, p1000.indexed)
+	}
+	t.Logf("rules tried/node: indexed %.2f at 100, %.2f at 1000; linear %.2f at 1000",
+		p100.indexed, p1000.indexed, p1000.linear)
+}
+
 func TestDifferentialNoFallback(t *testing.T) {
 	// Without fallback some graphs fail; error status must still agree.
 	graphs := workloadGraphs(t)
